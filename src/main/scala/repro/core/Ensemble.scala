@@ -1,6 +1,6 @@
 package repro.core
 
-import repro.linkpred.{LinkPredData, LinkScorer}
+import repro.linkpred.{GnnTraining, LinkPredData, MlpScorer}
 import repro.nn._
 import scala.util.Random
 
@@ -18,26 +18,24 @@ final case class EnsembleConfig(heads: Int = 2, epochs: Int = 30, lr: Double = 2
                                 seed: Long = 101L)
 
 final class EnsembleScorer(weekly: Seq[Tensor], mha: MultiHeadAttention, head: Mlp,
-                           tokensPerPair: Int, structF: (Int, Int) => Array[Double],
-                           acceptMargin: Double) extends LinkScorer {
-  private val dim = weekly.head.cols
+                           structF: (Int, Int) => Array[Double], acceptMargin: Double)
+  extends MlpScorer(head, pairs => implicit t => Ensemble.headInput(mha, Ad.const(Ensemble.tokenRows(weekly, pairs)),
+    pairs.length, 2 * weekly.length, weekly.head.cols, GnnTraining.pairRows(pairs, GnnTraining.structDim)(structF))) {
 
   /** Fused embedding h_e: the concatenation of the weekly z_e (eq. 6). */
   def fusedEmbedding(e: Int): Array[Double] = weekly.flatMap(_.row(e)).toArray
 
-  private def logit(u: Int, v: Int): Double = {
-    implicit val tape: Tape = new Tape
-    val tokens = (weekly.map(z => z.row(u)) ++ weekly.map(z => z.row(v))).toIndexedSeq
-    val x = Ad.const(Tensor.fromRows(tokens))
-    val structT = Tensor.fromRows(Seq(structF(u, v)))
-    head.forward(Ensemble.headInput(mha, x, 1, tokensPerPair, dim, structT)).v(0, 0)
-  }
-
-  def score(u: Int, v: Int): Double = 1.0 / (1.0 + math.exp(-logit(u, v)))
-  def accept(u: Int, v: Int): Boolean = logit(u, v) > acceptMargin
+  def acceptAll(pairs: Array[(Int, Int)]): Array[Boolean] = logits(pairs).map(_ > acceptMargin)
+  def accept(u: Int, v: Int): Boolean = acceptAll(Array((u, v)))(0)
 }
 
 object Ensemble {
+
+  /** A batch's token rows, sample-major: z_u^{t1} … z_u^{tW}, z_v^{t1} … z_v^{tW} per pair. */
+  private[core] def tokenRows(weekly: Seq[Tensor], pairs: Array[(Int, Int)]): Tensor = {
+    val rows = pairs.flatMap { case (u, v) => weekly.map(_.row(u)) ++ weekly.map(_.row(v)) }
+    new Tensor(rows.length, weekly.head.cols, rows.flatten)
+  }
 
   /** Head input for a batch: attended tokens flattened ‖ raw tokens flattened
     * (residual skip past the randomly-initialised attention) ‖ per-week
@@ -57,8 +55,8 @@ object Ensemble {
       inter), Ad.const(struct))
   }
 
-  /** Width of `headInput` for `tokens` tokens of width `dim` (+4 struct). */
-  private[core] def headInputDim(tokens: Int, dim: Int): Int = (2 * tokens + tokens / 2) * dim + 4
+  /** Width of `headInput` for `tokens` tokens of width `dim`. */
+  private[core] def headInputDim(tokens: Int, dim: Int): Int = (2 * tokens + tokens / 2) * dim + GnnTraining.structDim
 
   /** Trains the ensemble over `weeklyZ` (one embedding matrix per weekly ALPC
     * model; all n×dim) using the given split's train pairs/labels.
@@ -72,7 +70,6 @@ object Ensemble {
     val rng = new Random(cfg.seed)
     val mha = new MultiHeadAttention(dim, cfg.heads, rng, "ens.mha")
     val head = new Mlp(Seq(headInputDim(tokens, dim), dim, 1), rng, "ens.head")
-    val opt = new Adam(mha.params ++ head.params, cfg.lr)
 
     // class-balanced training pairs (the 0.5 accept cut assumes a balanced
     // prior; the raw 1:3 ratio would bias the classifier toward rejecting
@@ -84,21 +81,12 @@ object Ensemble {
     val pairs = sampled.map(_._1)
     val labels = sampled.map(_._2)
 
-    val xRows = pairs.toIndexedSeq.flatMap { case (u, v) =>
-      weeklyZ.map(z => z.row(u)) ++ weeklyZ.map(z => z.row(v))
+    val x = tokenRows(weeklyZ, pairs)
+    val sf = GnnTraining.structFeatures(data.trainGraph) _
+    val structT = GnnTraining.pairRows(pairs, GnnTraining.structDim)(sf)
+    GnnTraining.fit(mha.params ++ head.params, cfg.lr, cfg.epochs) { _ => implicit tape =>
+      Ad.bceWithLogits(head.forward(headInput(mha, Ad.const(x), pairs.length, tokens, dim, structT)), labels)
     }
-    val x = Tensor.fromRows(xRows)
-    val sf = repro.linkpred.GnnTraining.structFeatures(data.trainGraph) _
-    val structT = Tensor.fromRows(pairs.toIndexedSeq.map { case (u, v) => sf(u, v) })
-
-    var e = 0
-    while (e < cfg.epochs) {
-      implicit val tape: Tape = new Tape
-      val in = headInput(mha, Ad.const(x), pairs.length, tokens, dim, structT)
-      val loss = Ad.bceWithLogits(head.forward(in), labels)
-      opt.zeroGrad(); tape.backward(loss); opt.step()
-      e += 1
-    }
-    new EnsembleScorer(weeklyZ, mha, head, tokens, sf, cfg.acceptMargin)
+    new EnsembleScorer(weeklyZ, mha, head, sf, cfg.acceptMargin)
   }
 }

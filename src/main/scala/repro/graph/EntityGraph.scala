@@ -46,11 +46,15 @@ final class EntityGraph(val n: Int, val offsets: Array[Int], val neighbors: Arra
     out
   }
 
+  /** Each node's neighbours per relation type, built once on first use. */
+  @transient private lazy val neighborsByType: Map[Int, Array[Array[Int]]] =
+    relTypes.distinct.map { t =>
+      t -> Array.tabulate(n)(u => (offsets(u) until offsets(u + 1)).filter(i => relTypes(i) == t).map(neighbors).toArray)
+    }.toMap
+
   /** Same, restricted to one relation type (for CompGCN). */
   def sampleNeighborsOfType(k: Int, relType: Int, rng: Random): Array[Int] = {
-    val byType = Array.tabulate(n) { u =>
-      (offsets(u) until offsets(u + 1)).filter(i => relTypes(i) == relType).map(neighbors).toArray
-    }
+    val byType = neighborsByType.getOrElse(relType, Array.fill(n)(Array.emptyIntArray))
     val out = new Array[Int](n * k)
     var u = 0
     while (u < n) {

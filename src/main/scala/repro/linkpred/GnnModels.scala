@@ -6,10 +6,33 @@ import repro.nn._
 import repro.world.EntityWorld
 import scala.util.Random
 
-/** Shared bits for the GNN-based Table II baselines: full-batch Adam training
-  * of an encoder plus a pair-scoring MLP head, then a frozen-embedding scorer.
+/** Shared bits of every learned link predictor: the one full-batch Adam
+  * training loop, the frozen inference embedding and the pair-head input.
   */
 object GnnTraining {
+
+  /** Trains `params` with Adam for `epochs` full-batch steps; `epochLoss(e)`
+    * builds epoch e's scalar loss on that epoch's tape.
+    */
+  def fit(params: Seq[Param], lr: Double, epochs: Int)(epochLoss: Int => Tape => Node): Unit = {
+    val opt = new Adam(params, lr)
+    var e = 0
+    while (e < epochs) {
+      val tape = new Tape
+      val loss = epochLoss(e)(tape)
+      opt.zeroGrad(); tape.backward(loss); opt.step()
+      e += 1
+    }
+  }
+
+  /** Frozen inference embedding: the mean of one encoder forward per seed. */
+  def embed(enc: GraphEncoder, feats: Tensor, g: EntityGraph, seeds: Seq[Long]): Tensor = {
+    val samples = seeds.map(s => enc.forward(feats, g, new Random(s))(new Tape).v)
+    val acc = samples.head.copy()
+    samples.tail.foreach(acc.addInPlace)
+    acc.scaleInPlace(1.0 / samples.length)
+    acc
+  }
 
   /** Pair-head input [z_u ‖ z_v ‖ z_u∘z_v]: the element-wise interaction term
     * lets the scoring MLP express similarity directly instead of having to
@@ -25,19 +48,29 @@ object GnnTraining {
   /** Width of `pairInput` given embedding width `d`. */
   def pairInputDim(d: Int): Int = 3 * d
 
-  /** Scores pairs through a trained MLP over pairInput (+ optional extras). */
-  final class PairMlpScorer(z: Tensor, head: Mlp,
-                            extra: Option[(Int, Int) => Array[Double]] = None) extends LinkScorer {
-    def score(u: Int, v: Int): Double = {
-      implicit val tape: Tape = new Tape
-      val base = pairInput(Ad.const(z), Array(u), Array(v))
-      val in = extra match {
-        case Some(f) => Ad.concatCols(base, Ad.const(Tensor.rowVec(f(u, v))))
-        case None    => base
-      }
-      1.0 / (1.0 + math.exp(-head.forward(in).v(0, 0)))
+  /** `pairInput` followed by the pairs' structural features, when given. */
+  def headInput(z: Node, us: Array[Int], vs: Array[Int], struct: Option[Tensor])(implicit t: Tape): Node =
+    struct.fold(pairInput(z, us, vs))(s => Ad.concatCols(pairInput(z, us, vs), Ad.const(s)))
+
+  /** The pair-head input of a scoring batch over frozen embeddings `z`
+    * (+ the pairs' structural features under `sf`, when given).
+    */
+  def scoringInput(z: Tensor, sf: Option[(Int, Int) => Array[Double]]): Array[(Int, Int)] => Tape => Node =
+    pairs => implicit t => headInput(Ad.const(z), pairs.map(_._1), pairs.map(_._2), sf.map(pairRows(pairs, structDim)))
+
+  /** Stacks `f(u, v)` of each pair into a pairs × width tensor. */
+  def pairRows(pairs: Array[(Int, Int)], width: Int)(f: (Int, Int) => Array[Double]): Tensor = {
+    val out = Tensor.zeros(pairs.length, width)
+    var i = 0
+    while (i < pairs.length) {
+      System.arraycopy(f(pairs(i)._1, pairs(i)._2), 0, out.data, i * width, width)
+      i += 1
     }
+    out
   }
+
+  /** Width of `structFeatures`. */
+  val structDim: Int = 4
 
   /** log1p-squashed structural features of a pair on the train graph. */
   def structFeatures(g: EntityGraph)(u: Int, v: Int): Array[Double] = Array(
@@ -48,35 +81,36 @@ object GnnTraining {
   )
 }
 
+/** An encoder plus an MLP pair head over `pairInput` (‖ the pair's structural
+  * features when `withStruct`), trained on the BCE prediction loss alone.
+  */
+class EncoderLP(val name: String, headName: String, dim: Int, epochs: Int, lr: Double, seed: Long,
+                withStruct: Boolean = false)(encoder: (Int, Random) => GraphEncoder) extends LinkPredictor {
+  def fit(data: LinkPredData): LinkScorer = {
+    val rng = new Random(seed)
+    val feats = Tensor.fromRows(data.features.toIndexedSeq)
+    val enc = encoder(feats.cols, rng)
+    val sf = if (withStruct) Some(GnnTraining.structFeatures(data.trainGraph) _) else None
+    val structWidth = if (withStruct) GnnTraining.structDim else 0
+    val head = new Mlp(Seq(GnnTraining.pairInputDim(enc.outDim) + structWidth, dim, 1), rng, headName)
+    val (us, vs) = data.trainPairs.unzip
+    val labels = data.trainLabels
+    val struct = sf.map(GnnTraining.pairRows(data.trainPairs, structWidth))
+    GnnTraining.fit(enc.params ++ head.params, lr, epochs) { e => implicit tape =>
+      val z = enc.forward(feats, data.trainGraph, new Random(seed + e))
+      Ad.bceWithLogits(head.forward(GnnTraining.headInput(z, us, vs, struct)), labels)
+    }
+    val z = GnnTraining.embed(enc, feats, data.trainGraph, Seq(seed - 1))
+    new MlpScorer(head, GnnTraining.scoringInput(z, sf))
+  }
+}
+
 /** GeniePath link predictor — the paper's backbone trained with only the BCE
   * prediction loss (eq. 2); also the encoder ALPC builds on.
   */
 final class GeniePathLP(dim: Int = 32, layers: Int = 2, k: Int = 8,
-                        epochs: Int = 40, lr: Double = 2e-2, seed: Long = 71L) extends LinkPredictor {
-  val name = "Geniepath"
-  def fit(data: LinkPredData): LinkScorer = {
-    val rng = new Random(seed)
-    val feats = Tensor.fromRows(data.features.toIndexedSeq)
-    val enc = new GeniePathEncoder(feats.cols, dim, layers, k, rng)
-    val head = new Mlp(Seq(GnnTraining.pairInputDim(enc.outDim), dim, 1), rng, "gp.head")
-    val opt = new Adam(enc.params ++ head.params, lr)
-    val us = data.trainPairs.map(_._1)
-    val vs = data.trainPairs.map(_._2)
-    val labels = data.trainLabels
-    var e = 0
-    while (e < epochs) {
-      implicit val tape: Tape = new Tape
-      val z = enc.forward(feats, data.trainGraph, new Random(seed + e))
-      val s = head.forward(GnnTraining.pairInput(z, us, vs))
-      val loss = Ad.bceWithLogits(s, labels)
-      opt.zeroGrad(); tape.backward(loss); opt.step()
-      e += 1
-    }
-    implicit val tape: Tape = new Tape
-    val z = enc.forward(feats, data.trainGraph, new Random(seed - 1)).v
-    new GnnTraining.PairMlpScorer(z, head)
-  }
-}
+                        epochs: Int = 40, lr: Double = 2e-2, seed: Long = 71L)
+  extends EncoderLP("Geniepath", "gp.head", dim, epochs, lr, seed)(new GeniePathEncoder(_, dim, layers, k, _))
 
 /** VGAE (Kipf & Welling, 2016): graph-conv encoder + inner-product decoder,
   * trained on edge reconstruction. We use the deterministic autoencoder
@@ -90,29 +124,14 @@ final class Vgae(dim: Int = 32, layers: Int = 2, k: Int = 8,
     val rng = new Random(seed)
     val feats = Tensor.fromRows(data.features.toIndexedSeq)
     val enc = new MeanSageEncoder(feats.cols, dim, layers, k, rng, finalAct = "linear")
-    val opt = new Adam(enc.params, lr)
-    val us = data.trainPairs.map(_._1)
-    val vs = data.trainPairs.map(_._2)
+    val (us, vs) = data.trainPairs.unzip
     val labels = data.trainLabels
-    var e = 0
-    while (e < epochs) {
-      implicit val tape: Tape = new Tape
+    GnnTraining.fit(enc.params, lr, epochs) { e => implicit tape =>
       val z = enc.forward(feats, data.trainGraph, new Random(seed + e))
-      val s = Ad.rowDot(Ad.gatherRows(z, us), Ad.gatherRows(z, vs))
-      val loss = Ad.bceWithLogits(s, labels)
-      opt.zeroGrad(); tape.backward(loss); opt.step()
-      e += 1
+      Ad.bceWithLogits(Ad.rowDot(Ad.gatherRows(z, us), Ad.gatherRows(z, vs)), labels)
     }
-    implicit val tape: Tape = new Tape
-    val z = enc.forward(feats, data.trainGraph, new Random(seed - 1)).v
-    new LinkScorer {
-      def score(u: Int, v: Int): Double = {
-        var dot = 0.0
-        var i = 0
-        while (i < z.cols) { dot += z(u, i) * z(v, i); i += 1 }
-        1.0 / (1.0 + math.exp(-dot))
-      }
-    }
+    val z = GnnTraining.embed(enc, feats, data.trainGraph, Seq(seed - 1))
+    new EmbeddingScorer(Array.tabulate(z.rows)(z.row), 1.0, 0.0)
   }
 }
 
@@ -120,31 +139,9 @@ final class Vgae(dim: Int = 32, layers: Int = 2, k: Int = 8,
   * types (co-occurrence / semantic), `mult` composition, MLP pair head.
   */
 final class CompGcnLP(dim: Int = 32, layers: Int = 2, k: Int = 8,
-                      epochs: Int = 40, lr: Double = 2e-2, seed: Long = 79L) extends LinkPredictor {
-  val name = "CompGCN"
-  def fit(data: LinkPredData): LinkScorer = {
-    val rng = new Random(seed)
-    val feats = Tensor.fromRows(data.features.toIndexedSeq)
-    val enc = new CompGcnEncoder(feats.cols, dim, layers, k, nRels = 2, rng)
-    val head = new Mlp(Seq(GnnTraining.pairInputDim(enc.outDim), dim, 1), rng, "cgcn.head")
-    val opt = new Adam(enc.params ++ head.params, lr)
-    val us = data.trainPairs.map(_._1)
-    val vs = data.trainPairs.map(_._2)
-    val labels = data.trainLabels
-    var e = 0
-    while (e < epochs) {
-      implicit val tape: Tape = new Tape
-      val z = enc.forward(feats, data.trainGraph, new Random(seed + e))
-      val s = head.forward(GnnTraining.pairInput(z, us, vs))
-      val loss = Ad.bceWithLogits(s, labels)
-      opt.zeroGrad(); tape.backward(loss); opt.step()
-      e += 1
-    }
-    implicit val tape: Tape = new Tape
-    val z = enc.forward(feats, data.trainGraph, new Random(seed - 1)).v
-    new GnnTraining.PairMlpScorer(z, head)
-  }
-}
+                      epochs: Int = 40, lr: Double = 2e-2, seed: Long = 79L)
+  extends EncoderLP("CompGCN", "cgcn.head", dim, epochs, lr, seed)(
+    new CompGcnEncoder(_, dim, layers, k, nRels = 2, _))
 
 /** PaGNN (Yang et al., ECML-PKDD 2021) — reduced faithful variant: a sampled
   * GNN encoder plus an *interactive* pair head that sees the element-wise
@@ -152,42 +149,9 @@ final class CompGcnLP(dim: Int = 32, layers: Int = 2, k: Int = 8,
   * aggregate interaction of the full model collapsed into pair features).
   */
 final class PaGnn(dim: Int = 32, layers: Int = 2, k: Int = 8,
-                  epochs: Int = 40, lr: Double = 2e-2, seed: Long = 83L) extends LinkPredictor {
-  val name = "PaGNN"
-  def fit(data: LinkPredData): LinkScorer = {
-    val rng = new Random(seed)
-    val feats = Tensor.fromRows(data.features.toIndexedSeq)
-    val enc = new MeanSageEncoder(feats.cols, dim, layers, k, rng)
-    val sf = GnnTraining.structFeatures(data.trainGraph) _
-    val head = new Mlp(Seq(3 * dim + 4, dim, 1), rng, "pagnn.head")
-    val opt = new Adam(enc.params ++ head.params, lr)
-    val us = data.trainPairs.map(_._1)
-    val vs = data.trainPairs.map(_._2)
-    val labels = data.trainLabels
-    val structT = Tensor.fromRows(data.trainPairs.toIndexedSeq.map { case (u, v) => sf(u, v) })
-    var e = 0
-    while (e < epochs) {
-      implicit val tape: Tape = new Tape
-      val z = enc.forward(feats, data.trainGraph, new Random(seed + e))
-      val zu = Ad.gatherRows(z, us); val zv = Ad.gatherRows(z, vs)
-      val in = Ad.concatCols(Ad.concatCols(Ad.concatCols(zu, zv), Ad.hadamard(zu, zv)), Ad.const(structT))
-      val loss = Ad.bceWithLogits(head.forward(in), labels)
-      opt.zeroGrad(); tape.backward(loss); opt.step()
-      e += 1
-    }
-    val z = { implicit val tape: Tape = new Tape; enc.forward(feats, data.trainGraph, new Random(seed - 1)).v }
-    new LinkScorer {
-      def score(u: Int, v: Int): Double = {
-        implicit val t2: Tape = new Tape
-        val zu = Ad.const(Tensor.rowVec(z.row(u)))
-        val zv = Ad.const(Tensor.rowVec(z.row(v)))
-        val in = Ad.concatCols(Ad.concatCols(Ad.concatCols(zu, zv), Ad.hadamard(zu, zv)),
-                               Ad.const(Tensor.rowVec(sf(u, v))))
-        1.0 / (1.0 + math.exp(-head.forward(in).v(0, 0)))
-      }
-    }
-  }
-}
+                  epochs: Int = 40, lr: Double = 2e-2, seed: Long = 83L)
+  extends EncoderLP("PaGNN", "pagnn.head", dim, epochs, lr, seed, withStruct = true)(
+    new MeanSageEncoder(_, dim, layers, k, _))
 
 /** SEAL (Zhang & Chen, NeurIPS 2018) — reduced faithful variant: instead of
   * extracting an enclosing subgraph per link and running a DGCNN, we feed the
@@ -208,22 +172,13 @@ final class Seal(hidden: Int = 16, epochs: Int = 200, lr: Double = 2e-2, seed: L
   def fit(data: LinkPredData): LinkScorer = {
     val rng = new Random(seed)
     val pf = pairFeatures(data) _
-    val head = new Mlp(Seq(6, hidden, 1), rng, "seal")
-    val opt = new Adam(head.params, lr)
-    val x = Tensor.fromRows(data.trainPairs.toIndexedSeq.map { case (u, v) => pf(u, v) })
+    val width = GnnTraining.structDim + 2
+    val head = new Mlp(Seq(width, hidden, 1), rng, "seal")
+    val x = GnnTraining.pairRows(data.trainPairs, width)(pf)
     val labels = data.trainLabels
-    var e = 0
-    while (e < epochs) {
-      implicit val tape: Tape = new Tape
-      val loss = Ad.bceWithLogits(head.forward(Ad.const(x)), labels)
-      opt.zeroGrad(); tape.backward(loss); opt.step()
-      e += 1
+    GnnTraining.fit(head.params, lr, epochs) { _ => implicit tape =>
+      Ad.bceWithLogits(head.forward(Ad.const(x)), labels)
     }
-    new LinkScorer {
-      def score(u: Int, v: Int): Double = {
-        implicit val tape: Tape = new Tape
-        1.0 / (1.0 + math.exp(-head.forward(Ad.const(Tensor.rowVec(pf(u, v)))).v(0, 0)))
-      }
-    }
+    new MlpScorer(head, pairs => implicit t => Ad.const(GnnTraining.pairRows(pairs, width)(pf)))
   }
 }

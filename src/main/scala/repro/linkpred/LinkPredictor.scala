@@ -1,9 +1,24 @@
 package repro.linkpred
 
-/** A fitted model scoring entity pairs; scores live in [0,1]. */
+import repro.nn.{Ad, Mlp, Node, Tape}
+
+/** A fitted model scoring entity pairs. `logits` is the one scoring path:
+  * scores are σ(logit) in [0,1], and a single pair is a batch of one.
+  */
 trait LinkScorer {
-  def score(u: Int, v: Int): Double
-  def scoreAll(pairs: Array[(Int, Int)]): Array[Double] = pairs.map { case (u, v) => score(u, v) }
+  def logits(pairs: Array[(Int, Int)]): Array[Double]
+  def scoreAll(pairs: Array[(Int, Int)]): Array[Double] = logits(pairs).map(Ad.sigmoid)
+  def score(u: Int, v: Int): Double = scoreAll(Array((u, v)))(0)
+}
+
+/** Scores a batch through an MLP head on one tape: the head's input for the
+  * batch is built by `input`, on the same tape. Shared by every MLP-headed scorer.
+  */
+class MlpScorer(head: Mlp, input: Array[(Int, Int)] => Tape => Node) extends LinkScorer {
+  def logits(pairs: Array[(Int, Int)]): Array[Double] = {
+    implicit val tape: Tape = new Tape
+    head.forward(input(pairs)(tape)).v.data
+  }
 }
 
 /** A trainable link-prediction method (one Table II row). */
@@ -25,8 +40,7 @@ object Calibration {
       var ga = 0.0; var gb = 0.0
       var i = 0
       while (i < n) {
-        val p = 1.0 / (1.0 + math.exp(-(a * raw(i) + b)))
-        val d = p - labels(i)
+        val d = Ad.sigmoid(a * raw(i) + b) - labels(i)
         ga += d * raw(i); gb += d
         i += 1
       }
@@ -36,5 +50,5 @@ object Calibration {
     (a, b)
   }
 
-  def apply(a: Double, b: Double, s: Double): Double = 1.0 / (1.0 + math.exp(-(a * s + b)))
+  def apply(a: Double, b: Double, s: Double): Double = Ad.sigmoid(a * s + b)
 }

@@ -110,8 +110,11 @@ object Ad {
     out
   }
 
+  /** The logistic function σ(x) = 1/(1+e^{-x}); every scorer's logit → score map. */
+  def sigmoid(x: Double): Double = 1.0 / (1.0 + math.exp(-x))
+
   def sigmoid(a: Node)(implicit t: Tape): Node = {
-    val sv = a.v.map(x => 1.0 / (1.0 + math.exp(-x)))
+    val sv = a.v.map(x => sigmoid(x))
     val out = new Node(sv)
     out.backFn = () => a.grad.addInPlace(out.g.hadamard(sv.map(s => s * (1 - s))))
     out
@@ -377,7 +380,7 @@ object Ad {
       var i = 0
       while (i < n) {
         val z = logits.v(i, 0)
-        lg.data(i) += s * (1.0 / (1.0 + math.exp(-z)) - labels(i))
+        lg.data(i) += s * (sigmoid(z) - labels(i))
         i += 1
       }
     }

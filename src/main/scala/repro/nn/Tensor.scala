@@ -89,6 +89,9 @@ final class Tensor(val rows: Int, val cols: Int, val data: Array[Double]) {
   def sum: Double = { var s = 0.0; var i = 0; while (i < data.length) { s += data(i); i += 1 }; s }
   def sumSquares: Double = { var s = 0.0; var i = 0; while (i < data.length) { s += data(i) * data(i); i += 1 }; s }
 
+  /** The first `n` rows. */
+  def takeRows(n: Int): Tensor = new Tensor(n, cols, java.util.Arrays.copyOf(data, n * cols))
+
   def row(r: Int): Array[Double] = java.util.Arrays.copyOfRange(data, r * cols, (r + 1) * cols)
 
   def frobenius: Double = math.sqrt(sumSquares)
